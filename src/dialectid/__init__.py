@@ -6,7 +6,7 @@ gradients, plus the confusion-matrix metric family and a CLI.
 """
 
 from .errors import ConfigError, FormatError, NumericError, ShapeError
-from .numerics import cross_entropy, make_stream, sigmoid, softmax
+from .numerics import cross_entropy, make_stream, softmax
 from .data import (
     Batch,
     Dataset,
@@ -31,11 +31,7 @@ from .model import (
     ModelConfig,
     forward_classify,
     init_model,
-    lstm_cell_step,
     param_blocks,
-    rnn_cell_step,
-    unroll_forward,
-    bidirectional_forward,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .training import (
@@ -68,69 +64,3 @@ from .metrics import (
 from .synth import BigramOracle, SynthSpec, gen_synthetic, split_dataset
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Batch",
-    "BigramOracle",
-    "ConfigError",
-    "ConfusionMatrix",
-    "Dataset",
-    "FormatError",
-    "LabelSet",
-    "MetricReport",
-    "Model",
-    "ModelConfig",
-    "NumericError",
-    "Sample",
-    "ShapeError",
-    "SynthSpec",
-    "TrainConfig",
-    "TrainReport",
-    "Vocab",
-    "accuracy",
-    "adam_step",
-    "batch_loss",
-    "bidirectional_forward",
-    "build_vocab",
-    "clip_global_norm",
-    "compute_report",
-    "confusion_from_pairs",
-    "cross_entropy",
-    "encode",
-    "encode_dataset",
-    "evaluate_split",
-    "f1_scores",
-    "forward_classify",
-    "frame_dense",
-    "gen_synthetic",
-    "grad_check",
-    "init_model",
-    "load_checkpoint",
-    "load_cm",
-    "load_dense",
-    "load_labels_order",
-    "load_tsv",
-    "loss_and_gradients",
-    "lstm_cell_step",
-    "make_batches",
-    "make_stream",
-    "param_blocks",
-    "per_class_prf",
-    "permuted",
-    "render_heatmap",
-    "render_text",
-    "rnn_cell_step",
-    "save_checkpoint",
-    "save_cm",
-    "save_tsv",
-    "sgd_step",
-    "sigmoid",
-    "softmax",
-    "split_dataset",
-    "summary_line",
-    "tokenize",
-    "tokenize_chars",
-    "tokenize_words",
-    "train",
-    "unroll_forward",
-]

@@ -126,9 +126,18 @@ def load_checkpoint(path) -> Model:
             raise FormatError(f"{path}: missing checkpoint field {key!r}")
 
     raw_config = doc["config"]
-    field_names = {f.name for f in dataclasses.fields(ModelConfig)}
+    config_fields = dataclasses.fields(ModelConfig)
+    field_names = {f.name for f in config_fields}
     if not isinstance(raw_config, dict) or set(raw_config) != field_names:
         raise FormatError(f"{path}: config fields do not match {sorted(field_names)}")
+    for f in config_fields:
+        # exact type match: a JSON true is no int, and 2.0 is no int either
+        expected = type(f.default)
+        if type(raw_config[f.name]) is not expected:
+            raise FormatError(
+                f"{path}: config field {f.name!r} must be a {expected.__name__}, "
+                f"got {raw_config[f.name]!r}"
+            )
     config = ModelConfig(**raw_config)
     try:
         config.validate()

@@ -25,10 +25,12 @@ from .data import (
     load_dense,
     load_labels_order,
     load_tsv,
+    parse_dense,
+    read_lines,
     save_tsv,
     tokenize,
 )
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 from .metrics import (
     compute_report,
     confusion_from_pairs,
@@ -162,32 +164,36 @@ def _echo_config(model_cfg: ModelConfig, train_cfg: TrainConfig, min_freq: int) 
     print(f"config={json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
 
 
+def _read_dataset(path, mode: str, labels: LabelSet | None = None):
+    """The labeled dataset at `path`, in the file format of model `mode`."""
+    return load_dense(path, labels) if mode == "dense" else load_tsv(path, labels)
+
+
+def _dataset_pairs(dataset, vocab, mode: str, max_seq_len: int | None = None):
+    """(features, label) pairs of `dataset` as a model of `mode` reads them."""
+    if mode == "dense":
+        return dense_pairs(dataset)
+    return encode_dataset(dataset, vocab, mode, max_seq_len)
+
+
 def cmd_train(args) -> int:
     model_cfg, train_cfg, min_freq = load_run_config(args.config, args.set)
     _echo_config(model_cfg, train_cfg, min_freq)
     if args.threads != 1:
         print("note: --threads has no effect; training runs serially", file=sys.stderr)
 
-    if model_cfg.mode == "dense":
-        train_ds = load_dense(args.train)
-        labels = train_ds.labels
-        vocab = None
-        train_pairs = dense_pairs(train_ds)
-        dev_pairs = dense_pairs(load_dense(args.dev, labels)) if args.dev else None
-    else:
-        train_ds = load_tsv(args.train)
-        labels = train_ds.labels
-        vocab = build_vocab(
-            (tokenize(s.text, model_cfg.mode) for s in train_ds.samples), min_freq
-        )
-        train_pairs = encode_dataset(train_ds, vocab, model_cfg.mode, train_cfg.max_seq_len)
-        dev_pairs = (
-            encode_dataset(
-                load_tsv(args.dev, labels), vocab, model_cfg.mode, train_cfg.max_seq_len
-            )
-            if args.dev
-            else None
-        )
+    mode, max_len = model_cfg.mode, train_cfg.max_seq_len
+    train_ds = _read_dataset(args.train, mode)
+    labels = train_ds.labels
+    vocab = None
+    if mode != "dense":
+        vocab = build_vocab((tokenize(s.text, mode) for s in train_ds.samples), min_freq)
+    train_pairs = _dataset_pairs(train_ds, vocab, mode, max_len)
+    dev_pairs = (
+        _dataset_pairs(_read_dataset(args.dev, mode, labels), vocab, mode, max_len)
+        if args.dev
+        else None
+    )
     if not train_pairs:
         raise FormatError(f"{args.train}: no usable training samples")
 
@@ -199,16 +205,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_pairs(model, path):
-    if model.config.mode == "dense":
-        return dense_pairs(load_dense(path, model.labels))
-    dataset = load_tsv(path, model.labels)
-    return encode_dataset(dataset, model.vocab, model.config.mode)
-
-
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
-    pairs = _eval_pairs(model, args.test)
+    mode = model.config.mode
+    pairs = _dataset_pairs(
+        _read_dataset(args.test, mode, model.labels), model.vocab, mode
+    )
     if not pairs:
         raise FormatError(f"{args.test}: no usable samples")
     _, gold_pred = evaluate_split(model, pairs)
@@ -236,18 +238,10 @@ def _looks_dense(line: str) -> bool:
     return True
 
 
-def _read_text_lines(path) -> list[str]:
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            return f.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not valid UTF-8 ({exc})") from exc
-
-
 def cmd_predict(args) -> int:
     model = load_checkpoint(args.model)
     mode = model.config.mode
-    lines = _read_text_lines(args.input)
+    lines = read_lines(args.input)
     out_rows: list[str] = []
 
     if mode == "dense":
@@ -255,18 +249,7 @@ def cmd_predict(args) -> int:
             if line == "":
                 continue
             fields = line.split()
-            if len(fields) != 1 + DENSE_WIDTH:
-                raise FormatError(
-                    f"{args.input}: expected `<id> <{DENSE_WIDTH} values>`, "
-                    f"found {max(len(fields) - 1, 0)} values (line {lineno})"
-                )
-            try:
-                vec = np.asarray([float(v) for v in fields[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{args.input}: bad value (line {lineno}): {exc}") from exc
-            if not np.isfinite(vec).all():
-                raise FormatError(f"{args.input}: numeric overflow (line {lineno})")
-            probs = forward_classify(model, vec)
+            probs = forward_classify(model, parse_dense(fields[1:], args.input, lineno))
             pred = int(np.argmax(probs))
             out_rows.append(f"{fields[0]}\t{model.labels.name_of(pred)}\t{probs[pred]:.6f}")
     else:
@@ -296,7 +279,7 @@ def cmd_predict(args) -> int:
 def _pairs_cm(path, order: LabelSet | None):
     """Confusion matrix from a `<gold>\\t<pred>` label-name pairs file."""
     rows = []
-    for lineno, line in enumerate(_read_text_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if line == "":
             continue
         parts = line.split("\t")

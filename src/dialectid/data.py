@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .numerics import make_stream, STREAM_SHUFFLE
 
 log = logging.getLogger(__name__)
 
@@ -160,7 +159,8 @@ class Dataset:
         return len(self.samples)
 
 
-def _read_lines(path):
+def read_lines(path) -> list[str]:
+    """The file's UTF-8 text split on LF; a decode failure is a FormatError."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
             return f.read().split("\n")
@@ -175,7 +175,7 @@ def load_tsv(path, labels: LabelSet | None = None) -> Dataset:
     collected and ordered lexicographically.
     """
     rows = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if line == "":
             continue
         parts = line.split("\t")
@@ -207,26 +207,30 @@ def save_tsv(dataset: Dataset, path) -> None:
             f.write(f"{s.text}\t{dataset.labels.name_of(s.label)}\n")
 
 
+def parse_dense(values: list[str], path, lineno: int) -> np.ndarray:
+    """The DENSE_WIDTH finite feature values of one dense-format line."""
+    if len(values) != DENSE_WIDTH:
+        raise FormatError(
+            f"{path}: expected {DENSE_WIDTH} features, found {len(values)} (line {lineno})"
+        )
+    try:
+        vec = np.asarray([float(v) for v in values], dtype=np.float64)
+    except ValueError as exc:
+        raise FormatError(f"{path}: unparsable feature value (line {lineno}): {exc}") from exc
+    if not np.isfinite(vec).all():
+        raise FormatError(f"{path}: numeric overflow in features (line {lineno})")
+    return vec
+
+
 def load_dense(path, labels: LabelSet | None = None) -> Dataset:
     """Load a dense dataset of `<utt-id> <label> <400 decimals>` lines."""
     rows = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if line == "":
             continue
         fields = line.split()
-        if len(fields) != 2 + DENSE_WIDTH:
-            raise FormatError(
-                f"{path}: expected {DENSE_WIDTH} features, "
-                f"found {max(len(fields) - 2, 0)} (line {lineno})"
-            )
-        uid, label = fields[0], fields[1]
-        try:
-            vec = np.asarray([float(v) for v in fields[2:]], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"{path}: unparsable feature value (line {lineno}): {exc}") from exc
-        if not np.isfinite(vec).all():
-            raise FormatError(f"{path}: numeric overflow in features (line {lineno})")
-        rows.append((lineno, uid, label, vec))
+        vec = parse_dense(fields[2:], path, lineno)
+        rows.append((lineno, fields[0], fields[1], vec))
 
     if labels is None:
         labels = LabelSet(sorted({label for _, _, label, _ in rows}))
@@ -239,7 +243,7 @@ def load_dense(path, labels: LabelSet | None = None) -> Dataset:
 
 
 def load_labels_order(path) -> LabelSet:
-    names = [line for line in _read_lines(path) if line != ""]
+    names = [line for line in read_lines(path) if line != ""]
     if not names:
         raise FormatError(f"{path}: labels-order file is empty")
     return LabelSet(names)
@@ -313,22 +317,18 @@ def make_batches(
     batch_size: int,
     shuffle: bool = False,
     rng: np.random.Generator | None = None,
-    seed: int | None = None,
 ) -> list[Batch]:
     """Group (features, label) pairs into padded batches.
 
-    Shuffling draws from `rng` if given, otherwise from the shuffle stream of
-    `seed`; with shuffle off the input order is preserved.  The final batch
-    may be short.
+    Shuffling draws one permutation from `rng`; with shuffle off the input
+    order is preserved.  The final batch may be short.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     order = np.arange(len(pairs))
     if shuffle:
         if rng is None:
-            if seed is None:
-                raise ConfigError("make_batches: shuffle requires rng or seed")
-            rng = make_stream(seed, STREAM_SHUFFLE)
+            raise ConfigError("make_batches: shuffle requires rng")
         order = rng.permutation(len(pairs))
 
     batches = []

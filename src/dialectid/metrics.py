@@ -12,7 +12,7 @@ from decimal import Decimal, ROUND_HALF_UP
 
 import numpy as np
 
-from .data import LabelSet
+from .data import LabelSet, read_lines
 from .errors import FormatError
 
 HEATMAP_CELL = 32   # pixels per confusion-matrix cell
@@ -197,8 +197,7 @@ def save_cm(cm: ConfusionMatrix, path) -> None:
 def load_cm(path) -> ConfusionMatrix:
     """Load a confusion matrix from TSV: a header of labels, then one
     `<label>\\t<counts...>` row per gold label, in the same order."""
-    with open(path, encoding="utf-8", newline="") as f:
-        lines = [line for line in f.read().split("\n") if line != ""]
+    lines = [line for line in read_lines(path) if line != ""]
     if not lines:
         raise FormatError(f"{path}: empty confusion-matrix file")
     header = lines[0].split("\t")

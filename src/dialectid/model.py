@@ -1,5 +1,5 @@
-"""Peephole LSTM and sigmoid-RNN cells, bidirectional unrolls, and the
-utterance-level softmax readout.
+"""Peephole LSTM and sigmoid-RNN cells and the one forward pass of the
+classifier: input sequence, (bidirectional) unroll, pooled readout, softmax.
 
 The LSTM cell follows the peephole formulation with diagonal cell-to-gate
 weights:
@@ -12,6 +12,9 @@ weights:
 
 The backward direction of a bidirectional stack runs the same recursion
 right-to-left, so its state at position t depends on inputs t..T only.
+
+`forward_traced` is the only forward: inference (`forward_classify`) keeps
+its probabilities, training keeps its per-step traces for BPTT.
 """
 from __future__ import annotations
 
@@ -150,17 +153,8 @@ def param_blocks(model: Model) -> dict[str, np.ndarray]:
     return blocks
 
 
-def _check_cell_inputs(x, h_prev, params, c_prev=None):
-    if x.shape != (params.input_dim,):
-        raise ShapeError(f"cell input has shape {x.shape}, expected ({params.input_dim},)")
-    if h_prev.shape != (params.hidden_dim,):
-        raise ShapeError(f"hidden state has shape {h_prev.shape}, expected ({params.hidden_dim},)")
-    if c_prev is not None and c_prev.shape != (params.hidden_dim,):
-        raise ShapeError(f"cell state has shape {c_prev.shape}, expected ({params.hidden_dim},)")
-
-
 def _lstm_step(x, h_prev, c_prev, p: LstmParams):
-    """Unchecked cell update; returns the full gate tuple for reuse in BPTT."""
+    """One cell update; returns the full gate tuple for reuse in BPTT."""
     i = expit(p.w_xi @ x + p.w_hi @ h_prev + p.p_i * c_prev + p.b_i)
     f = expit(p.w_xf @ x + p.w_hf @ h_prev + p.p_f * c_prev + p.b_f)
     g = np.tanh(p.w_xc @ x + p.w_hc @ h_prev + p.b_c)
@@ -173,24 +167,6 @@ def _lstm_step(x, h_prev, c_prev, p: LstmParams):
 
 def _rnn_step(x, h_prev, p: RnnParams):
     return expit(p.w_xh @ x + p.w_hh @ h_prev + p.b_h)
-
-
-def lstm_cell_step(x, h_prev, c_prev, params: LstmParams):
-    """One peephole LSTM update; returns (h, c)."""
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    _check_cell_inputs(x, h_prev, params, c_prev)
-    *_, c, _, h = _lstm_step(x, h_prev, c_prev, params)
-    return h, c
-
-
-def rnn_cell_step(x, h_prev, params: RnnParams):
-    """One sigmoid-RNN update; returns h."""
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    _check_cell_inputs(x, h_prev, params)
-    return _rnn_step(x, h_prev, params)
 
 
 @dataclass
@@ -227,36 +203,6 @@ def unroll_rnn_traced(xs: np.ndarray, params: RnnParams) -> np.ndarray:
         h = _rnn_step(xs[t], h, params)
         hs[t] = h
     return hs
-
-
-def unroll_forward(xs, params) -> tuple[np.ndarray, np.ndarray | None]:
-    """Left-to-right unroll from zero initial state.
-
-    Returns the (T, H) hidden-state sequence and, for LSTM cells, the final
-    cell state (None for plain RNN cells).
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[0] == 0:
-        raise ShapeError(f"unroll_forward: expected non-empty (T, D) input, got {xs.shape}")
-    if xs.shape[1] != params.input_dim:
-        raise ShapeError(
-            f"unroll_forward: input width {xs.shape[1]} != parameter input dim {params.input_dim}"
-        )
-    if isinstance(params, LstmParams):
-        trace = unroll_lstm_traced(xs, params)
-        return trace.h, trace.c[-1]
-    return unroll_rnn_traced(xs, params), None
-
-
-def bidirectional_forward(xs, fwd_params, bwd_params) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward state sequences, both aligned to input positions.
-
-    The backward sequence equals a forward unroll over the reversed input,
-    re-reversed, so state t depends on inputs t..T only.
-    """
-    hf, _ = unroll_forward(xs, fwd_params)
-    hb_rev, _ = unroll_forward(np.asarray(xs, dtype=np.float64)[::-1], bwd_params)
-    return hf, hb_rev[::-1]
 
 
 def embed_lookup(ids, emb: EmbeddingTable) -> np.ndarray:
@@ -298,12 +244,6 @@ def readout_feature(hf, hb, mask, readout_mode: str) -> np.ndarray:
     raise ConfigError(f"unknown readout_mode {readout_mode!r}")
 
 
-def readout(hf, hb, mask, params: ReadoutParams, readout_mode: str) -> np.ndarray:
-    """Class probabilities from pooled recurrent states."""
-    feat = readout_feature(hf, hb, mask, readout_mode)
-    return softmax(affine(params.w_out, feat, params.b_out))
-
-
 def input_sequence(model: Model, features: np.ndarray) -> np.ndarray:
     """Per-step input vectors for one sample.
 
@@ -329,15 +269,41 @@ def input_sequence(model: Model, features: np.ndarray) -> np.ndarray:
     return embed_lookup(features, model.embedding)
 
 
+@dataclass
+class Forward:
+    """One sample's forward pass plus everything BPTT needs to reverse it."""
+
+    xs: np.ndarray                       # (T, D) per-step inputs
+    fwd: LstmTrace | np.ndarray          # LSTM trace, or RNN states (T, H)
+    bwd: LstmTrace | np.ndarray | None   # the same over xs[::-1], in its own step order
+    feat: np.ndarray                     # pooled readout feature
+    probs: np.ndarray                    # class probabilities
+
+
+def forward_traced(model: Model, features) -> Forward:
+    """The model's one forward path, shared by training and inference.
+
+    The backward direction unrolls the reversed input; its states are read
+    back in reverse so state t depends on inputs t..T only.
+    """
+    cfg = model.config
+    lstm = cfg.cell == "lstm"
+    unroll = unroll_lstm_traced if lstm else unroll_rnn_traced
+    xs = input_sequence(model, features)
+    trace_f = unroll(xs, model.fwd)
+    hf = trace_f.h if lstm else trace_f
+    trace_b = hb = None
+    if cfg.bidirectional:
+        trace_b = unroll(xs[::-1], model.bwd)
+        hb = (trace_b.h if lstm else trace_b)[::-1]
+    feat = readout_feature(hf, hb, None, cfg.readout_mode)
+    probs = softmax(affine(model.readout.w_out, feat, model.readout.b_out))
+    return Forward(xs, trace_f, trace_b, feat, probs)
+
+
 def forward_classify(model: Model, features) -> np.ndarray:
     """Class probability vector for one sample; deterministic."""
-    xs = input_sequence(model, features)
-    if model.config.bidirectional:
-        hf, hb = bidirectional_forward(xs, model.fwd, model.bwd)
-    else:
-        hf, _ = unroll_forward(xs, model.fwd)
-        hb = None
-    return readout(hf, hb, None, model.readout, model.config.readout_mode)
+    return forward_traced(model, features).probs
 
 
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

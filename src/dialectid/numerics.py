@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ShapeError
 
@@ -34,26 +33,6 @@ def make_stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Validate and return a finite 1-D float64 array."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError(f"{name}: expected 1-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ShapeError(f"{name}: contains non-finite entries")
-    return arr
-
-
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite 2-D float64 array."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name}: expected 2-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ShapeError(f"{name}: contains non-finite entries")
-    return arr
-
-
 def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """w @ x + b with hard shape checks."""
     w = np.asarray(w, dtype=np.float64)
@@ -68,15 +47,6 @@ def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     if w.shape[0] != b.shape[0]:
         raise ShapeError(f"affine: weight has {w.shape[0]} rows, bias has length {b.shape[0]}")
     return w @ x + b
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, overflow-safe for large |x|."""
-    return expit(np.asarray(x, dtype=np.float64))
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

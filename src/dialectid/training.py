@@ -2,7 +2,8 @@
 finite-difference gradient checker, and the train/early-stop loop.
 
 Gradients come from full backpropagation through time over each sample's
-unpadded sequence, so padded positions never touch the math.  The loop is
+unpadded sequence, so padded positions never touch the math.  The forward
+half is `model.forward_traced`, the same pass inference runs.  The loop is
 single-threaded and bit-deterministic: one seeded shuffle stream drives
 epoch order, and identical seeds reproduce identical per-epoch logs.
 """
@@ -22,21 +23,11 @@ from .model import (
     Model,
     ModelConfig,
     forward_classify,
+    forward_traced,
     init_model,
-    input_sequence,
     param_blocks,
-    readout_feature,
-    unroll_lstm_traced,
-    unroll_rnn_traced,
 )
-from .numerics import (
-    STREAM_SHUFFLE,
-    STREAM_SYNTH,
-    affine,
-    cross_entropy,
-    make_stream,
-    softmax,
-)
+from .numerics import STREAM_SHUFFLE, STREAM_SYNTH, cross_entropy, make_stream
 
 OPTIMIZERS = ("sgd", "adam")
 
@@ -171,30 +162,8 @@ def _sample_loss_and_backward(model: Model, features, label: int, weight: float,
     """Forward + backward for one sample; gradient contributions are scaled
     by `weight` (the sample's share of the batch mean) and accumulated."""
     cfg = model.config
-    xs = input_sequence(model, features)
-    steps = xs.shape[0]
-    hid = cfg.hidden_dim
-    lstm = cfg.cell == "lstm"
-
-    if lstm:
-        trace_f = unroll_lstm_traced(xs, model.fwd)
-        hf = trace_f.h
-    else:
-        hf = unroll_rnn_traced(xs, model.fwd)
-        trace_f = hf
-    hb = None
-    if cfg.bidirectional:
-        xs_rev = xs[::-1]
-        if lstm:
-            trace_b = unroll_lstm_traced(xs_rev, model.bwd)
-            hb = trace_b.h[::-1]
-        else:
-            hb_rev = unroll_rnn_traced(xs_rev, model.bwd)
-            trace_b = hb_rev
-            hb = hb_rev[::-1]
-
-    feat = readout_feature(hf, hb, None, cfg.readout_mode)
-    probs = softmax(affine(model.readout.w_out, feat, model.readout.b_out))
+    fw = forward_traced(model, features)
+    probs = fw.probs
     if not np.isfinite(probs).all():
         raise NumericError("non-finite activations in forward pass")
     loss = cross_entropy(probs, label)
@@ -202,12 +171,13 @@ def _sample_loss_and_backward(model: Model, features, label: int, weight: float,
     dlogits = probs.copy()
     dlogits[label] -= 1.0
     dlogits *= weight
-    grads["readout.w_out"] += np.outer(dlogits, feat)
+    grads["readout.w_out"] += np.outer(dlogits, fw.feat)
     grads["readout.b_out"] += dlogits
     dfeat = model.readout.w_out.T @ dlogits
 
+    steps, hid = fw.xs.shape[0], cfg.hidden_dim
     dhf = np.zeros((steps, hid))
-    dhb = np.zeros((steps, hid)) if hb is not None else None
+    dhb = np.zeros((steps, hid)) if fw.bwd is not None else None
     if cfg.readout_mode == "last":
         dhf[-1] += dfeat[:hid]
         if dhb is not None:
@@ -217,10 +187,10 @@ def _sample_loss_and_backward(model: Model, features, label: int, weight: float,
         if dhb is not None:
             dhb += dfeat[None, hid:] / steps
 
-    backward = _lstm_backward if lstm else _rnn_backward
-    dxs = backward(xs, trace_f, dhf, model.fwd, grads, "fwd")
+    backward = _lstm_backward if cfg.cell == "lstm" else _rnn_backward
+    dxs = backward(fw.xs, fw.fwd, dhf, model.fwd, grads, "fwd")
     if dhb is not None:
-        dxs = dxs + backward(xs[::-1], trace_b, dhb[::-1], model.bwd, grads, "bwd")[::-1]
+        dxs = dxs + backward(fw.xs[::-1], fw.bwd, dhb[::-1], model.bwd, grads, "bwd")[::-1]
 
     if cfg.mode != "dense":
         np.add.at(grads["embedding.table"], np.asarray(features), dxs)

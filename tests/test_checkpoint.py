@@ -9,6 +9,7 @@ from dialectid.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoin
 from dialectid.data import LabelSet, Vocab
 from dialectid.errors import FormatError
 from dialectid.model import ModelConfig, forward_classify, init_model, param_blocks
+from test_cli import run_cli
 
 
 def build_model(cell="lstm", bidirectional=True, mode="char", seed=3):
@@ -143,3 +144,27 @@ def test_load_rejects_extra_param_field(tmp_path):
     path = corrupt(tmp_path, lambda d: d["params"]["fwd"].update(extra=[0.0]))
     with pytest.raises(FormatError, match="do not match"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("hidden_dim", "2"),
+    ("bidirectional", "no"),
+    ("class_count", 2.0),
+    ("embed_dim", True),
+    ("mode", 1),
+    ("bidirectional", 1),
+])
+def test_load_rejects_mistyped_config_value(tmp_path, field, value):
+    path = corrupt(tmp_path, lambda d: d["config"].update({field: value}))
+    with pytest.raises(FormatError, match=f"config field '{field}'"):
+        load_checkpoint(path)
+
+
+def test_predict_on_mistyped_config_is_a_data_error(tmp_path):
+    path = corrupt(tmp_path, lambda d: d["config"].update(hidden_dim="2"))
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("abba\n", encoding="utf-8")
+    code, _, err = run_cli(["predict", "--model", str(path), "--input", str(inputs),
+                            "--output", str(tmp_path / "out.tsv")])
+    assert code == 2
+    assert "hidden_dim" in err

@@ -28,6 +28,7 @@ from dialectid.data import (
     tokenize_words,
 )
 from dialectid.errors import ConfigError, FormatError, ShapeError
+from dialectid.numerics import STREAM_SHUFFLE, make_stream
 
 
 def small_vocab():
@@ -249,8 +250,8 @@ def test_make_batches_shuffle_contract():
         make_batches(pairs, batch_size=0)
     with pytest.raises(ConfigError):
         make_batches(pairs, batch_size=2, shuffle=True)
-    a = make_batches(pairs, batch_size=2, shuffle=True, seed=3)
-    b = make_batches(pairs, batch_size=2, shuffle=True, seed=3)
+    a = make_batches(pairs, batch_size=2, shuffle=True, rng=make_stream(3, STREAM_SHUFFLE))
+    b = make_batches(pairs, batch_size=2, shuffle=True, rng=make_stream(3, STREAM_SHUFFLE))
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x.ids, y.ids)
 
@@ -269,7 +270,9 @@ def test_make_batches_shuffle_contract():
 )
 def test_make_batches_preserves_samples(raw, batch_size, seed):
     pairs = [(np.asarray(ids, dtype=np.int64), y) for ids, y in raw]
-    batches = make_batches(pairs, batch_size=batch_size, shuffle=True, seed=seed)
+    batches = make_batches(
+        pairs, batch_size=batch_size, shuffle=True, rng=make_stream(seed, STREAM_SHUFFLE)
+    )
     seen = []
     for b in batches:
         assert b.ids.shape == b.mask.shape

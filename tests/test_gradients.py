@@ -26,6 +26,8 @@ TOLERANCE = 1e-5
 def test_analytic_gradients_match_finite_differences(cell, bidirectional, mode, readout):
     model, batch = make_gradcheck_case(mode, cell, bidirectional, readout)
     assert grad_check(model, batch) < TOLERANCE
+    # training and inference run one forward, so their losses agree
+    assert abs(loss_and_gradients(model, batch)[0] - batch_loss(model, batch)) <= 1e-12
 
 
 def test_tiny_lstm_passes_at_small_epsilon():

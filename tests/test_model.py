@@ -15,16 +15,15 @@ from dialectid.model import (
     ModelConfig,
     ReadoutParams,
     RnnParams,
-    bidirectional_forward,
+    _lstm_step,
+    _rnn_step,
     embed_lookup,
     forward_classify,
+    forward_traced,
     init_model,
     input_sequence,
-    lstm_cell_step,
     param_blocks,
     readout_feature,
-    rnn_cell_step,
-    unroll_forward,
     unroll_lstm_traced,
     unroll_rnn_traced,
 )
@@ -66,7 +65,7 @@ def test_lstm_step_matches_scalar_oracle(rng):
     x = rng.normal(size=inp)
     h_prev = rng.normal(size=hid)
     c_prev = rng.normal(size=hid)
-    h, c = lstm_cell_step(x, h_prev, c_prev, p)
+    *_, c, _, h = _lstm_step(x, h_prev, c_prev, p)
     h_ref, c_ref = oracle.lstm_step(x.tolist(), h_prev.tolist(), c_prev.tolist(), as_lists(p))
     np.testing.assert_allclose(h, h_ref, rtol=1e-13, atol=1e-14)
     np.testing.assert_allclose(c, c_ref, rtol=1e-13, atol=1e-14)
@@ -77,7 +76,7 @@ def test_rnn_step_matches_scalar_oracle(rng):
     p = random_rnn(rng, hid, inp)
     x = rng.normal(size=inp)
     h_prev = rng.normal(size=hid)
-    h = rnn_cell_step(x, h_prev, p)
+    h = _rnn_step(x, h_prev, p)
     h_ref = oracle.rnn_step(
         x.tolist(), h_prev.tolist(),
         {"w_xh": p.w_xh.tolist(), "w_hh": p.w_hh.tolist(), "b_h": p.b_h.tolist()},
@@ -93,7 +92,7 @@ def test_lstm_zero_params_anchor():
         name: np.zeros((hid, hid)) if name.startswith("w") else np.zeros(hid)
         for name in LSTM_FIELDS
     })
-    h, c = lstm_cell_step(np.zeros(1), np.zeros(1), np.array([2.0]), p)
+    *_, c, _, h = _lstm_step(np.zeros(1), np.zeros(1), np.array([2.0]), p)
     assert c[0] == 1.0
     assert h[0] == pytest.approx(math.tanh(1.0) / 2, abs=1e-16)
 
@@ -122,8 +121,8 @@ def test_causality_prefix_states_ignore_future_inputs(seed, cut):
     xs = rng.normal(size=(steps, inp))
     ys = xs.copy()
     ys[cut:] += rng.normal(size=(steps - cut, inp)) + 1.0
-    ha, _ = unroll_forward(xs, p)
-    hb, _ = unroll_forward(ys, p)
+    ha = unroll_lstm_traced(xs, p).h
+    hb = unroll_lstm_traced(ys, p).h
     np.testing.assert_array_equal(ha[:cut], hb[:cut])
     r = random_rnn(rng, hid, inp)
     np.testing.assert_array_equal(
@@ -132,18 +131,30 @@ def test_causality_prefix_states_ignore_future_inputs(seed, cut):
 
 
 @settings(max_examples=100)
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_reversal_duality(seed):
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(["last", "mean"]))
+def test_reversal_duality(seed, readout_mode):
     # The backward pass over xs equals the forward pass over reversed xs,
     # read back in reverse.
     rng = np.random.default_rng(seed)
     steps, hid, inp = 5, 2, 2
-    fwd = random_lstm(rng, hid, inp)
-    bwd = random_lstm(rng, hid, inp)
-    xs = rng.normal(size=(steps, inp))
-    _, hb = bidirectional_forward(xs, fwd, bwd)
-    manual, _ = unroll_forward(xs[::-1], bwd)
-    np.testing.assert_array_equal(hb, manual[::-1])
+    model = init_model(
+        ModelConfig(mode="char", embed_dim=inp, hidden_dim=hid, readout_mode=readout_mode),
+        LabelSet(["x", "y"]), vocab=Vocab(("<pad>", "<unk>", "a", "b", "c")), seed=0,
+    )
+    model.fwd = random_lstm(rng, hid, inp)
+    model.bwd = random_lstm(rng, hid, inp)
+    ids = rng.integers(1, 5, size=steps)
+    fw = forward_traced(model, ids)
+    xs = model.embedding.table[ids]
+    np.testing.assert_array_equal(fw.xs, xs)
+    np.testing.assert_array_equal(fw.fwd.h, unroll_lstm_traced(xs, model.fwd).h)
+    manual = unroll_lstm_traced(xs[::-1], model.bwd).h
+    np.testing.assert_array_equal(fw.bwd.h, manual)
+    hb = manual[::-1]
+    np.testing.assert_array_equal(fw.feat, readout_feature(fw.fwd.h, hb, None, readout_mode))
+    if readout_mode == "last":
+        # backward state at position 0 is the reversed unroll's final state
+        np.testing.assert_array_equal(fw.feat[hid:], manual[-1])
 
 
 def test_readout_feature_last_and_mean(rng):
